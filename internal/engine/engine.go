@@ -6,9 +6,11 @@
 // wall-clock timing and simulated-memory accounting.
 //
 // The engine supports all batching schemes: Naive and Turbo rows hold a
-// single segment (the padded baseline layouts), Concat rows hold many
-// segments with dense masked attention, and SlottedConcat rows use the
-// per-slot attention of §4.2 plus early memory cleaning.
+// single segment padded to the row capacity (the padded baseline layouts),
+// Concat rows hold many segments with dense masked attention, and
+// SlottedConcat rows use the per-slot attention of §4.2 plus early memory
+// cleaning. Concat and SlottedConcat rows are staged pad-free, at their
+// resident length; the row capacity still sizes the memory reservation.
 package engine
 
 import (
@@ -124,10 +126,11 @@ func (e *Engine) Run(b *batch.Batch, tokens map[int64][]int) (*Report, error) {
 }
 
 // Prepared is a batch staged for execution: validated, its device memory
-// reserved, and every row's host-side tensors built (concatenated + padded
-// token ids, concat layout, slot descriptors, generation caps). Staging is
-// pure host work touching no model state, so the pipeline's prepare stage
-// runs it for batch t+1 while batch t computes.
+// reserved, and every row's host-side tensors built (concatenated token
+// ids — padded only for Naive and Turbo rows — concat layout, slot
+// descriptors, generation caps). Staging is pure host work touching no
+// model state, so the pipeline's prepare stage runs it for batch t+1 while
+// batch t computes.
 type Prepared struct {
 	Batch  *batch.Batch
 	Tokens map[int64][]int
@@ -303,11 +306,11 @@ func (p *Prepared) FinishReport(rep *Report) error {
 var launchSeq atomic.Uint64
 
 // rowLayout concatenates a row's item tokens (resident suffix only for
-// prefix-cache hits), pads to the row capacity and builds the decode (item)
-// layout, the encoder layout (declared-but-uncached prefixes split into
-// their own segments), the slot descriptors (for slotted batches), the
-// attached frozen prefixes (for hits) and the pending cache inserts (for
-// cold declared prefixes).
+// prefix-cache hits), pads Naive and Turbo rows to the row capacity and
+// builds the decode (item) layout, the encoder layout (declared-but-uncached
+// prefixes split into their own segments), the slot descriptors (for
+// slotted batches), the attached frozen prefixes (for hits) and the pending
+// cache inserts (for cold declared prefixes).
 func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int, mode model.AttentionMode, ri int, inserts *[]prefixInsert) (rowTokens []int, layout, encLayout model.RowLayout, slots []model.Slot, prefixes []*model.PrefixKV, err error) {
 	lengths := make([]int, len(row.Items))
 	rowTokens = make([]int, 0, row.PadTo)
@@ -350,13 +353,20 @@ func (e *Engine) rowLayout(b *batch.Batch, row batch.Row, tokens map[int64][]int
 		}
 		start += it.Len
 	}
-	for len(rowTokens) < row.PadTo {
-		rowTokens = append(rowTokens, vocab.PadID)
+	// Concat rows are staged at their resident length: a padding tail is
+	// masked to exact zeros, so encoding it only costs time. Naive and
+	// Turbo rows keep it, because padding is what those baselines measure.
+	total := len(rowTokens)
+	if b.Scheme == batch.Naive || b.Scheme == batch.Turbo {
+		total = row.PadTo
+		for len(rowTokens) < total {
+			rowTokens = append(rowTokens, vocab.PadID)
+		}
 	}
-	layout = model.ConcatLayout(lengths, row.PadTo)
+	layout = model.ConcatLayout(lengths, total)
 	encLayout = layout
 	if split {
-		encLayout = model.ConcatLayout(encLengths, row.PadTo)
+		encLayout = model.ConcatLayout(encLengths, total)
 	}
 	if mode == model.AttSlotted {
 		slots = e.slotsForRow(b, row, encLayout, segCounts)

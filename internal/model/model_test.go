@@ -145,7 +145,7 @@ func TestConcatEncodeEqualsStandalone(t *testing.T) {
 		solo := m.EncodeSingle(req)
 		seg := layout.Segments[i]
 		got := out.Slice(seg.Start, seg.End())
-		if !got.AllClose(solo, 1e-3) {
+		if !got.Equal(solo) {
 			t.Fatalf("request %d: concat encode differs from standalone by %g",
 				i, got.MaxAbsDiff(solo))
 		}
@@ -203,7 +203,7 @@ func TestMissingMaskBreaksConcat(t *testing.T) {
 	}
 }
 
-// Slotted attention (Eq. 8) must be numerically equivalent to dense masked
+// Slotted attention (Eq. 8) must be bitwise identical to dense masked
 // attention for any slot partition.
 func TestSlottedEqualsDense(t *testing.T) {
 	m := testModel(t)
@@ -220,7 +220,7 @@ func TestSlottedEqualsDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		slotted := m.EncodeRow(row, layout, slots, AttSlotted, true)
-		if !slotted.AllClose(dense, 1e-3) {
+		if !slotted.Equal(dense) {
 			t.Fatalf("slot size %d: slotted differs from dense by %g",
 				size, slotted.MaxAbsDiff(dense))
 		}
@@ -234,7 +234,7 @@ func TestSlottedWithWholeRowSlotEqualsDense(t *testing.T) {
 	row, layout := buildConcatRow(requests, 12)
 	dense := m.EncodeRow(row, layout, nil, AttDense, true)
 	slotted := m.EncodeRow(row, layout, layout.WholeRowSlot(), AttSlotted, true)
-	if !slotted.AllClose(dense, 1e-3) {
+	if !slotted.Equal(dense) {
 		t.Fatalf("whole-row slot differs from dense by %g", slotted.MaxAbsDiff(dense))
 	}
 }
@@ -370,7 +370,7 @@ func TestEmbedRowLengthMismatchPanics(t *testing.T) {
 }
 
 // Property: for random request sets, concat encoding equals standalone
-// encoding for every request. Small dims keep the property test fast.
+// encoding bitwise for every request. Small dims keep the property test fast.
 func TestConcatEquivalenceProperty(t *testing.T) {
 	cfg := Config{VocabSize: 30, DModel: 16, NumHeads: 2, DFF: 32,
 		EncLayers: 1, DecLayers: 1, MaxLen: 64, Eps: 1e-5}
@@ -394,7 +394,7 @@ func TestConcatEquivalenceProperty(t *testing.T) {
 		for i, req := range requests {
 			solo := m.EncodeSingle(req)
 			seg := layout.Segments[i]
-			if !out.Slice(seg.Start, seg.End()).AllClose(solo, 5e-3) {
+			if !out.Slice(seg.Start, seg.End()).Equal(solo) {
 				return false
 			}
 		}

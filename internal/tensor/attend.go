@@ -110,15 +110,24 @@ func scoreDot(qr, kd []float32, off int) float32 {
 }
 
 // weighedSumRows computes dst = Σ_t w[t] · v[kOff+t][c0:c0+dh], four value
-// rows per accumulator pass. Quads of all-zero weights are skipped outright
-// — masked-out entries after softmax are exactly zero and come in contiguous
-// segment-sized runs, so the skip recovers the block sparsity of the mask.
+// rows per accumulator pass. The quads are anchored at the first nonzero
+// weight and end at the last one: masked-out entries after softmax are
+// exactly zero, so a segment's sum is grouped the same way — and rounds
+// bitwise the same — at any row offset, behind any padding, and under the
+// dense mask, the block-sparse kernel or alone. Interior all-zero quads are
+// still skipped.
 func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 	for j := range dst {
 		dst[j] = 0
 	}
-	t := 0
-	for ; t+4 <= len(w); t += 4 {
+	t, end := 0, len(w)
+	for t < end && w[t] == 0 {
+		t++
+	}
+	for end > t && w[end-1] == 0 {
+		end--
+	}
+	for ; t+4 <= end; t += 4 {
 		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
 		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
 			continue
@@ -131,7 +140,7 @@ func weighedSumRows(dst, w []float32, v *Matrix, kOff, c0, dh int) {
 			dst[j] += w0*v0[j] + w1*v1[j] + w2*v2[j] + w3*v3[j]
 		}
 	}
-	for ; t < len(w); t++ {
+	for ; t < end; t++ {
 		a := w[t]
 		if a == 0 {
 			continue

@@ -461,7 +461,7 @@ func TestBlockAttendMatchesDenseMask(t *testing.T) {
 		got := New(20, 8)
 		scores := New(20, 14) // max block K width
 		BlockAttendInto(got, q, k, v, 2, 0.35, blocks, seg, seg, causal, scores)
-		if !got.AllClose(want, 1e-6) {
+		if !got.Equal(want) {
 			t.Fatalf("block-sparse (causal=%v) differs from dense-mask by %g", causal, got.MaxAbsDiff(want))
 		}
 		// Padding rows (outside every block) must be exactly zero.
@@ -489,7 +489,7 @@ func TestBlockAttendCrossAttention(t *testing.T) {
 	MultiHeadAttendInto(want, q, k, v, 2, 0.5, mask, New(5, 10))
 	got := New(5, 8)
 	BlockAttendInto(got, q, k, v, 2, 0.5, blocks, nil, nil, false, New(5, 6))
-	if !got.AllClose(want, 1e-6) {
+	if !got.Equal(want) {
 		t.Fatalf("cross block attention differs by %g", got.MaxAbsDiff(want))
 	}
 }
