@@ -9,10 +9,7 @@
 // 13–14 run the real Go engine and dominate the runtime.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the usual
-// `go tool pprof` inputs); -fusedecode=false forces real-engine decode
-// experiments onto the per-row cached decoder for A/B against the fused
-// batch-wide path; -pipeline=false does the same for the three-stage serve
-// pipeline in ext-pipeline.
+// `go tool pprof` inputs).
 //
 // When ext-pipeline runs under -json its figure (throughputs, speedup,
 // stage-utilization notes) is also written to BENCH_pipeline.json for CI
@@ -21,16 +18,14 @@
 // there is nothing to overlap onto, so the gate is skipped with a warning).
 //
 // ext-refill gets the same treatment: under -json its figure lands in
-// BENCH_refill.json, -refill=false forces the A/B onto the no-refill
-// escape hatch, and -refill-gate fails the run if the sweep's best
+// BENCH_refill.json, and -refill-gate fails the run if the sweep's best
 // refill/no-refill speedup drops below the gate. Unlike the pipeline gate
 // this one is NOT skipped on single-core runners — refill's win is
 // utilization (fewer total decode steps), not parallelism, so it must hold
 // on one core too.
 //
 // ext-prefix likewise: under -json its figure lands in BENCH_prefix.json,
-// -prefix=false forces the A/B onto the no-cache escape hatch, and
-// -prefix-gate fails the run unless the cached server holds the gate at 0%
+// and -prefix-gate fails the run unless the cached server holds the gate at 0%
 // reuse (an idle cache must not slow bystanders) and 1.2× the gate at the
 // top reuse fraction (a busy cache must win). Enforced single-core too:
 // the win is skipped encode work, not parallelism.
@@ -74,12 +69,8 @@ func run() error {
 	csvDir := flag.String("csv", "", "also write each figure as <dir>/<id>.csv")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	fuseDecode := flag.Bool("fusedecode", true, "decode through the fused batch-wide path (false = per-row escape hatch)")
-	pipeline := flag.Bool("pipeline", true, "serve ext-pipeline through the three-stage pipeline (false = serial escape hatch)")
 	pipelineGate := flag.Float64("pipeline-gate", 0, "fail if ext-pipeline's minimum speedup is below this (0 = off; skipped on a single-core runner)")
-	refill := flag.Bool("refill", true, "refill freed batch slots mid-flight in ext-refill (false = batch-at-a-time escape hatch)")
 	refillGate := flag.Float64("refill-gate", 0, "fail if ext-refill's best speedup across the sweep is below this (0 = off)")
-	prefix := flag.Bool("prefix", true, "serve ext-prefix through the prefix-sharing KV cache (false = no-cache escape hatch)")
 	prefixGate := flag.Float64("prefix-gate", 0, "fail if ext-prefix's speedup is below this at 0% reuse or below 1.2× this at the top reuse fraction (0 = off)")
 	clusterGate := flag.Float64("cluster-gate", 0, "fail if ext-cluster's 2-replica speedup over a single replica is below this (0 = off)")
 	kernel := flag.String("kernel", "wide", "float32 GEMM kernel: scalar, wide, or int8 (wide float32 + quantized projections)")
@@ -125,11 +116,7 @@ func run() error {
 
 	opt := experiments.Options{
 		Duration: *duration, Seed: *seed, Seeds: *seeds,
-		DisableFusedDecode: !*fuseDecode,
-		DisablePipeline:    !*pipeline,
-		DisableRefill:      !*refill,
-		DisablePrefix:      !*prefix,
-		Quantize:           *quantize,
+		Quantize: *quantize,
 	}
 	if *list {
 		for _, r := range experiments.All(opt) {
@@ -167,7 +154,7 @@ func run() error {
 					return err
 				}
 			}
-			if err := checkPipelineGate(fig, *pipelineGate, !*pipeline); err != nil {
+			if err := checkPipelineGate(fig, *pipelineGate); err != nil {
 				return err
 			}
 		}
@@ -177,7 +164,7 @@ func run() error {
 					return err
 				}
 			}
-			if err := checkRefillGate(fig, *refillGate, !*refill); err != nil {
+			if err := checkRefillGate(fig, *refillGate); err != nil {
 				return err
 			}
 		}
@@ -187,7 +174,7 @@ func run() error {
 					return err
 				}
 			}
-			if err := checkPrefixGate(fig, *prefixGate, !*prefix); err != nil {
+			if err := checkPrefixGate(fig, *prefixGate); err != nil {
 				return err
 			}
 		}
@@ -253,12 +240,8 @@ func writeJSONFile(name string, fig *experiments.Figure) error {
 // series: the A/B smoke CI runs to catch a pipeline that slows serving
 // down. The gate needs a second core to be meaningful — with GOMAXPROCS=1
 // the three stages time-slice one core and the expected speedup is 1×.
-func checkPipelineGate(fig *experiments.Figure, gate float64, disabled bool) error {
+func checkPipelineGate(fig *experiments.Figure, gate float64) error {
 	if gate <= 0 {
-		return nil
-	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -pipeline-gate skipped: pipeline disabled (-pipeline=false)")
 		return nil
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -285,12 +268,8 @@ func checkPipelineGate(fig *experiments.Figure, gate float64, disabled bool) err
 // line is shared-runner noise, not a regression. No single-core skip —
 // refill's win is finishing the same token work in fewer decode steps,
 // which holds regardless of core count.
-func checkRefillGate(fig *experiments.Figure, gate float64, disabled bool) error {
+func checkRefillGate(fig *experiments.Figure, gate float64) error {
 	if gate <= 0 {
-		return nil
-	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -refill-gate skipped: refill disabled (-refill=false)")
 		return nil
 	}
 	best, bestX := 0.0, 0.0
@@ -319,12 +298,8 @@ func checkRefillGate(fig *experiments.Figure, gate float64, disabled bool) error
 // reuse fraction the cache must deliver a real win: at least 1.2 × gate.
 // Like the refill gate this is enforced on single-core runners too — the
 // win is skipped encode work, not parallelism.
-func checkPrefixGate(fig *experiments.Figure, gate float64, disabled bool) error {
+func checkPrefixGate(fig *experiments.Figure, gate float64) error {
 	if gate <= 0 {
-		return nil
-	}
-	if disabled {
-		fmt.Fprintln(os.Stderr, "tcb-bench: -prefix-gate skipped: prefix cache disabled (-prefix=false)")
 		return nil
 	}
 	if len(fig.X) == 0 {

@@ -98,7 +98,7 @@ func main() {
 	classesSpec := flag.String("slo-classes", "", "SLO class overrides name:weight:deadline,... (default interactive/standard/batch tiers)")
 	bucketRate := flag.Float64("bucket-rate", 0, "default admission bucket refill (request tokens/s) for tenants without their own (0 = unlimited)")
 	bucketBurst := flag.Float64("bucket-burst", 0, "default admission bucket capacity in request tokens (0 = the rate)")
-	prefixOn := flag.Bool("prefix-cache", false, "prefix sharing: encode shared prompt prefixes once and reuse their frozen KV across requests (forces the KV-cached decoder)")
+	prefixOn := flag.Bool("prefix-cache", false, "prefix sharing: encode shared prompt prefixes once and reuse their frozen KV across requests")
 	prefixBudget := flag.Int64("prefix-budget", 0, "prefix cache resident-byte budget (0 = unbounded)")
 	prefixPool := flag.Int("prefix-pool", 4, "demo stream: distinct shared prefixes to rotate over (with -prefix-cache)")
 	prefixReuse := flag.Float64("prefix-reuse", 0.75, "demo stream: probability a request carries a shared prefix (with -prefix-cache)")
@@ -218,11 +218,6 @@ func main() {
 	newServer := func(withChaos bool) (*serve.Server, *serve.ChaosRunner, error) {
 		eng := engine.New(model.New(cfg, 42), *maxNew)
 		eng.Quantize = *quantize
-		if *refill {
-			// Mid-flight refill runs on the fused KV-cached decode loop;
-			// outputs are token-identical to the default path (DESIGN.md §11).
-			eng.UseCache = true
-		}
 		var pc *prefixcache.Cache
 		if *prefixOn {
 			// The same cache serves both halves: the server pins and clears,
@@ -231,7 +226,6 @@ func main() {
 			// imposing an admission budget on the demo's engine.
 			mem := gpu.NewMemoryManager(0)
 			pc = prefixcache.New(*prefixBudget, mem)
-			eng.UseCache = true // prefix items require the KV-cached decoder
 			eng.PrefixCache = pc
 			prefixMu.Lock()
 			prefixMems = append(prefixMems, mem)

@@ -17,7 +17,9 @@ import (
 )
 
 // echoRunner is a minimal healthy engine: each request's output is its own
-// ID. fail turns it into a hard-down engine; delay simulates a slow one.
+// ID. fail turns it into a hard-down engine; delay simulates a slow one. It
+// stages through the model-free zero Engine's Prepare and fakes only
+// execution; refill launches run without their hook.
 type echoRunner struct {
 	delay time.Duration
 
@@ -26,7 +28,16 @@ type echoRunner struct {
 	runs int
 }
 
-func (r *echoRunner) Run(b *batch.Batch, _ map[int64][]int) (*engine.Report, error) {
+func (r *echoRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return new(engine.Engine).Prepare(b, tokens)
+}
+
+func (r *echoRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return r.RunPrepared(p)
+}
+
+func (r *echoRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
+	b := p.Batch
 	r.mu.Lock()
 	r.runs++
 	fail := r.fail
@@ -402,7 +413,10 @@ func TestWedgedReplicaDrainRespawnReadmit(t *testing.T) {
 // a typed error, and reports itself unserviceable — nothing hangs.
 func TestAllEjectedDegradesToShedding(t *testing.T) {
 	spawn := func(i int) (*serve.Server, func(), error) {
-		srv, err := testServe(&echoRunner{fail: true}, func(cfg *serve.Config) {
+		// The delay keeps the first batch in flight while the burst queues
+		// behind it; a down engine that failed instantly would trip the
+		// breaker before the burst arrived, refusing it at Submit instead.
+		srv, err := testServe(&echoRunner{fail: true, delay: 20 * time.Millisecond}, func(cfg *serve.Config) {
 			cfg.BreakerThreshold = 1
 			cfg.BreakerCooldown = time.Hour // latch open
 			cfg.QueueCap = 8                // OpenQueueCap = 1

@@ -1,9 +1,15 @@
 // Package engine executes batch layouts on the real Go transformer: it is
 // the TCB "customized inference engine" of Fig. 3. Given a batch.Batch and
 // the token sequences of its items, the engine builds each row's
-// concatenated layout, runs the ConcatBatching-aware encoder and the
-// auto-regressive decoder, and returns per-request outputs together with
-// wall-clock timing and simulated-memory accounting.
+// concatenated layout, runs the ConcatBatching-aware encoder, and returns
+// per-request outputs together with wall-clock timing and simulated-memory
+// accounting.
+//
+// Every launch decodes through one loop (refill.go): all rows' segments
+// advance together through a single KV-cached BatchDecodeState, finished
+// segments retire mid-flight, and, given a RefillHook, queued requests are
+// admitted into the freed capacity. RunPrepared is that loop without a
+// hook; with MaxNew == 0 a launch only encodes.
 //
 // The engine supports all batching schemes: Naive and Turbo rows hold a
 // single segment padded to the row capacity (the padded baseline layouts),
@@ -15,7 +21,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,19 +42,11 @@ type Engine struct {
 	// services typically produce output proportional to input, which is
 	// what staggers finish times inside a batch (§4.2.2).
 	OutputCap func(inputLen int) int
-	// UseCache selects the KV-cached incremental decoder (O(T) token
-	// passes per segment) instead of the mask-based re-run decoder
-	// (O(T²)). Outputs are identical; the cache is per segment, so it is
-	// valid under every batching scheme.
+	// UseCache is ignored: every launch decodes through the KV-cached loop.
+	//
+	// Deprecated: the benchmark harness (perfbench) still sets it; the field
+	// goes when that setter does.
 	UseCache bool
-	// FuseDecode (requires UseCache) decodes the whole batch through one
-	// fused BatchDecodeState: per decode step, every row's live segments
-	// advance together through single batch-wide GEMMs per layer — the GEMM
-	// shapes of a real B×L launch — instead of B independent per-row decode
-	// streams. Rows still encode in parallel. Outputs are token-identical
-	// to per-row decoding; New enables it by default, and the tcb-bench
-	// -fusedecode=false escape hatch keeps the per-row path for A/B runs.
-	FuseDecode bool
 	// BytesPerToken is the simulated activation footprint used for the
 	// memory reports (d_model × 4 bytes × a small constant in a real
 	// system; any positive value preserves the comparisons).
@@ -76,15 +73,14 @@ type Engine struct {
 	// to their decode segment instead of re-encoding the prefix (the caller
 	// must hold a pin for the duration of the launch; see prefixcache);
 	// items with a declared-but-uncached prefix have their prefix rows
-	// frozen into the cache once they complete. Prefix items require
-	// UseCache (the KV-cached decoder); everything else is unaffected.
+	// frozen into the cache once they complete.
 	PrefixCache *prefixcache.Cache
 }
 
 // New returns an engine over m generating at most maxNew tokens per request.
 func New(m *model.Model, maxNew int) *Engine {
 	return &Engine{
-		Model: m, MaxNew: maxNew, FuseDecode: true,
+		Model: m, MaxNew: maxNew,
 		BytesPerToken: int64(m.Cfg.DModel) * 4,
 		Pool:          tensor.DefaultPool(),
 	}
@@ -197,9 +193,6 @@ func (e *Engine) Prepare(b *batch.Batch, tokens map[int64][]int) (*Prepared, err
 			return nil, fmt.Errorf("engine: item %d has %d tokens, layout says %d",
 				it.ID, len(seq), it.Len+it.CachedLen)
 		}
-		if it.PrefixLen > 0 && !e.UseCache {
-			return nil, fmt.Errorf("engine: item %d declares a prefix but the engine runs without the KV-cached decoder", it.ID)
-		}
 		if it.CachedLen > 0 && e.PrefixCache == nil {
 			return nil, fmt.Errorf("engine: item %d expects a cached prefix but the engine has no prefix cache", it.ID)
 		}
@@ -250,22 +243,28 @@ func (p *Prepared) Release() {
 	}
 }
 
-// RunPrepared executes a staged batch. It does not release the memory
-// reservation (Release does) and, with DeferCleaning set, leaves the
-// cleaning simulations to FinishReport.
+// RunPrepared executes a staged batch through the decode loop with no
+// refill hook: nothing is admitted, Report.Refill stays nil and Results come
+// back in batch row/item order. It does not release the memory reservation
+// (Release does) and, with DeferCleaning set, leaves the cleaning
+// simulations to FinishReport.
 func (e *Engine) RunPrepared(p *Prepared) (*Report, error) {
+	return e.launch(p, nil)
+}
+
+// launch times one execution of a staged batch and attaches its memory
+// reports; hook is nil on plain launches.
+func (e *Engine) launch(p *Prepared, hook RefillHook) (*Report, error) {
 	start := time.Now()
-	var results []Result
-	var runErr error
-	if e.MaxNew > 0 && e.UseCache && e.FuseDecode {
-		results, runErr = e.runFused(p)
-	} else {
-		results, runErr = e.runPerRow(p)
+	ref := &RefillReport{}
+	results, err := e.runLoop(p, hook, ref)
+	if err != nil {
+		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
+	if hook == nil {
+		ref = nil
 	}
-	rep := &Report{Elapsed: time.Since(start), Results: results}
+	rep := &Report{Elapsed: time.Since(start), Results: results, Refill: ref}
 	if !p.DeferCleaning {
 		if err := p.FinishReport(rep); err != nil {
 			return nil, err
@@ -394,64 +393,6 @@ func (e *Engine) rowCaps(row batch.Row) []int {
 	return caps
 }
 
-// runPerRow executes every staged row end to end in its own goroutine — the
-// batch dimension of a real GPU launch, and the escape-hatch decode path
-// when fused decoding is disabled.
-func (e *Engine) runPerRow(p *Prepared) ([]Result, error) {
-	type rowOut struct {
-		results []Result
-		err     error
-	}
-	outs := make([]rowOut, len(p.rows))
-	var wg sync.WaitGroup
-	for ri := range p.rows {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
-			res, err := e.runRow(p, ri)
-			outs[ri] = rowOut{res, err}
-		}(ri)
-	}
-	wg.Wait()
-	var results []Result
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		results = append(results, o.results...)
-	}
-	return results, nil
-}
-
-// runFused executes the batch with a batch-wide fused decode: rows encode in
-// parallel as before, then every row's segments decode together through one
-// BatchDecodeState — one GEMM per layer per step across all rows instead of
-// one small-GEMM stream per row.
-func (e *Engine) runFused(p *Prepared) ([]Result, error) {
-	if len(p.rows) == 0 {
-		return nil, nil
-	}
-	// encodeRows (refill.go) uses a fresh workspace per row goroutine:
-	// prepare-stage staging never aliases compute-stage buffers, so a
-	// pipelined prepare for batch t+1 cannot stomp batch t's encode.
-	decRows := e.encodeRows(p)
-
-	gen, err := e.Model.GenerateBatchCached(decRows, p.caps)
-	if err != nil {
-		return nil, err
-	}
-	for ri := range p.rows {
-		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
-	}
-	var results []Result
-	for ri, row := range p.rows {
-		for i, it := range row.Items {
-			results = append(results, Result{ID: it.ID, Output: gen[ri][i].Tokens, Steps: gen[ri][i].Steps})
-		}
-	}
-	return results, nil
-}
-
 // freezeRowPrefixes runs row ri's staged insert-on-completion jobs: each
 // cold declared prefix's encoder rows are copied out of the row, projected
 // into frozen cross K/V, and offered to the cache. Failures (over budget,
@@ -476,41 +417,6 @@ func (e *Engine) freezeRowPrefixes(p *Prepared, ri int, enc *tensor.Matrix) {
 		}
 		e.PrefixCache.Insert(seq, job.n, rows, kv)
 	}
-}
-
-// runRow executes one staged row: encode, decode, split results per item.
-func (e *Engine) runRow(p *Prepared, ri int) ([]Result, error) {
-	row := p.rows[ri]
-	// One workspace per row goroutine: layer intermediates are checked out
-	// and released inside the encoder/decoder, and the buffers themselves
-	// are recycled across batches through the package pool.
-	ws := tensor.NewWorkspace()
-	defer ws.Close()
-	encOut := e.Model.EncodeRowWS(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], p.mode, true, ws)
-	if e.MaxNew == 0 {
-		e.freezeRowPrefixes(p, ri, encOut)
-		out := make([]Result, len(row.Items))
-		for i, it := range row.Items {
-			out[i] = Result{ID: it.ID}
-		}
-		return out, nil
-	}
-	var gen []model.GenerateResult
-	if e.UseCache {
-		var err error
-		gen, err = e.Model.GenerateRowCachedPrefix(encOut, p.layouts[ri], p.prefixes[ri], p.caps[ri])
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		gen = e.Model.GenerateRowCapped(encOut, p.layouts[ri], p.slots[ri], p.caps[ri], p.mode)
-	}
-	e.freezeRowPrefixes(p, ri, encOut)
-	out := make([]Result, len(row.Items))
-	for i, it := range row.Items {
-		out[i] = Result{ID: it.ID, Output: gen[i].Tokens, Steps: gen[i].Steps}
-	}
-	return out, nil
 }
 
 // slotsForRow converts the batch's physical slot grouping into the model's

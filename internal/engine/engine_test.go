@@ -7,6 +7,7 @@ import (
 	"tcb/internal/batch"
 	"tcb/internal/gpu"
 	"tcb/internal/model"
+	"tcb/internal/prefixcache"
 	"tcb/internal/rng"
 	"tcb/internal/vocab"
 )
@@ -310,6 +311,8 @@ func TestOutputCapEarlyCleaningBenefit(t *testing.T) {
 	}
 }
 
+// UseCache is deprecated and ignored: a launch with it set decodes exactly
+// like one without, and both match the mask-based re-run decoder.
 func TestUseCacheMatchesRerun(t *testing.T) {
 	src := rng.New(30)
 	tokens, items := makeRequests(src, 4, 7, 3)
@@ -317,10 +320,11 @@ func TestUseCacheMatchesRerun(t *testing.T) {
 	if len(rest) != 0 {
 		t.Fatal("pack failed")
 	}
-	rerun := testEngine(t, 5)
+	plain := testEngine(t, 5)
 	cached := testEngine(t, 5)
 	cached.UseCache = true
-	r1, err := rerun.Run(b, tokens)
+	want := rerunOracle(t, plain, b, tokens)
+	r1, err := plain.Run(b, tokens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,23 +332,21 @@ func TestUseCacheMatchesRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byID := map[int64][]int{}
-	for _, r := range r1.Results {
-		byID[r.ID] = r.Output
-	}
-	for _, r := range r2.Results {
-		want := byID[r.ID]
-		if len(r.Output) != len(want) {
-			t.Fatalf("request %d: cached %v vs rerun %v", r.ID, r.Output, want)
+	for _, rep := range []*Report{r1, r2} {
+		if len(rep.Results) != len(items) {
+			t.Fatalf("%d results for %d requests", len(rep.Results), len(items))
 		}
-		for i := range want {
-			if r.Output[i] != want[i] {
-				t.Fatalf("request %d token %d differs", r.ID, i)
+		for _, r := range rep.Results {
+			w := want[r.ID]
+			if !equalInts(r.Output, w.Output) || r.Steps != w.Steps {
+				t.Fatalf("request %d: launch %v/%d vs re-run %v/%d", r.ID, r.Output, r.Steps, w.Output, w.Steps)
 			}
 		}
 	}
 }
 
+// A slotted launch with the deprecated UseCache set still matches
+// standalone inference token for token.
 func TestUseCacheSlottedScheme(t *testing.T) {
 	src := rng.New(31)
 	tokens, items := makeRequests(src, 4, 3, 5)
@@ -358,13 +360,16 @@ func TestUseCacheSlottedScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Results) != len(items) {
+		t.Fatalf("%d results for %d requests", len(rep.Results), len(items))
+	}
 	for _, r := range rep.Results {
 		solo, err := e.RunSingle(r.ID+50, tokens[r.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Output) != len(solo.Output) {
-			t.Fatalf("request %d cached-slotted differs from solo", r.ID)
+		if !equalInts(r.Output, solo.Output) {
+			t.Fatalf("request %d: slotted %v vs solo %v", r.ID, r.Output, solo.Output)
 		}
 	}
 }
@@ -448,69 +453,133 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 	}
 }
 
-// The fused batch-wide decode path must be token-identical to the per-row
-// cached path and the mask-based no-cache path, across all three batching
-// schemes. Steps must match too (finish accounting feeds the memory model).
+// The engine's one decode loop (RunPrepared: every row's segments advance
+// together through one fused BatchDecodeState) must reproduce the per-row
+// mask-based re-run decoder — the literal §4.1.2 formulation — token for
+// token and step for step, in batch row/item order, under every batching
+// scheme. OutputCap staggers the caps and floors some at zero; the batch
+// carries a prefix-cache hit (whose oracle is its cold twin: the full
+// request, prefix and suffix encoded as two isolated segments) and a cold
+// declared prefix the launch freezes.
 func TestFusedDecodeMatchesPerRow(t *testing.T) {
 	src := rng.New(50)
-	tokens, items := makeRequests(src, 4, 7, 3, 5, 2, 6)
-	nb, rest1 := batch.PackNaive(items, 8, 64)
-	cb, rest2 := batch.PackConcat(items, 2, 16)
-	sb, rest3 := batch.PackSlotted(items, 2, 16, 8)
-	if len(rest1)+len(rest2)+len(rest3) != 0 {
-		t.Fatal("packing left requests behind")
+	tokens, items := makeRequests(src, 4, 7, 3, 5, 2, 8)
+	shared := randTokens(src, 4)
+	hitID, coldID := int64(len(items)+1), int64(len(items)+2)
+	tokens[hitID] = append(append([]int{}, shared...), randTokens(src, 3)...)
+	tokens[coldID] = randTokens(src, 6)
+	hit := batch.Item{ID: hitID, Len: 3, PrefixLen: 4, CachedLen: 4}
+	cold := batch.Item{ID: coldID, Len: 6, PrefixLen: 3}
+	items = append(items, hit, cold)
+	hitTwin := batch.Item{ID: hitID, Len: 7, PrefixLen: 4}
+	twinItems := append(append([]batch.Item{}, items[:len(items)-2]...), hitTwin, cold)
+
+	newEngine := func() *Engine {
+		e := testEngine(t, 6)
+		e.OutputCap = func(n int) int { return 2*(n%4) - 1 } // 1, 3, 5 or below zero
+		e.PrefixCache = prefixcache.New(0, gpu.NewMemoryManager(0))
+		// Warm the shared prefix through the engine's own freeze path.
+		warm := batch.Item{ID: 99, Len: 5, PrefixLen: 4}
+		wb, _ := batch.PackConcat([]batch.Item{warm}, 1, 5)
+		if _, err := e.Run(wb, map[int64][]int{99: append(append([]int{}, shared...), 9)}); err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
 	packs := []struct {
 		name string
-		b    *batch.Batch
-	}{{"naive", nb}, {"concat", cb}, {"slotted", sb}}
+		pack func([]batch.Item) (*batch.Batch, []batch.Item)
+	}{
+		{"naive", func(it []batch.Item) (*batch.Batch, []batch.Item) { return batch.PackNaive(it, 8, 16) }},
+		{"concat", func(it []batch.Item) (*batch.Batch, []batch.Item) { return batch.PackConcat(it, 3, 16) }},
+		{"slotted", func(it []batch.Item) (*batch.Batch, []batch.Item) { return batch.PackSlotted(it, 3, 16, 8) }},
+	}
 	for _, tc := range packs {
 		t.Run(tc.name, func(t *testing.T) {
-			fused := testEngine(t, 5)
-			fused.UseCache = true // FuseDecode already true from New
-			perRow := testEngine(t, 5)
-			perRow.UseCache = true
-			perRow.FuseDecode = false
-			masked := testEngine(t, 5) // UseCache false: mask-based decode
-
-			rf, err := fused.Run(tc.b, tokens)
+			e := newEngine()
+			b, rest := tc.pack(items)
+			twin, twinRest := tc.pack(twinItems)
+			if len(rest)+len(twinRest) != 0 {
+				t.Fatal("packing left requests behind")
+			}
+			want := rerunOracle(t, e, twin, tokens)
+			for id, r := range rerunOracle(t, e, b, tokens) {
+				if id != hitID {
+					want[id] = r
+				}
+			}
+			p, err := e.Prepare(b, tokens)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rp, err := perRow.Run(tc.b, tokens)
+			defer p.Release()
+			rep, err := e.RunPrepared(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rm, err := masked.Run(tc.b, tokens)
-			if err != nil {
-				t.Fatal(err)
+			if rep.Refill != nil {
+				t.Fatal("a hook-less launch must not report refill")
 			}
-			type out struct {
-				tokens []int
-				steps  int
+			if !e.PrefixCache.Contains(tokens[coldID], cold.PrefixLen) {
+				t.Fatal("the cold declared prefix was not frozen")
 			}
-			index := func(rep *Report) map[int64]out {
-				m := make(map[int64]out)
-				for _, r := range rep.Results {
-					m[r.ID] = out{r.Output, r.Steps}
+			var order []int64
+			for _, row := range p.rows {
+				for _, it := range row.Items {
+					order = append(order, it.ID)
 				}
-				return m
 			}
-			pf, pp, pm := index(rf), index(rp), index(rm)
-			if len(pf) != len(items) {
-				t.Fatalf("fused returned %d results, want %d", len(pf), len(items))
+			if len(rep.Results) != len(order) {
+				t.Fatalf("%d results for %d items", len(rep.Results), len(order))
 			}
-			for id, f := range pf {
-				p, m := pp[id], pm[id]
-				if !equalInts(f.tokens, p.tokens) || f.steps != p.steps {
-					t.Fatalf("request %d: fused %v/%d vs per-row %v/%d", id, f.tokens, f.steps, p.tokens, p.steps)
+			zero, steps := 0, map[int]bool{}
+			for k, r := range rep.Results {
+				w := want[order[k]]
+				if r.ID != order[k] {
+					t.Fatalf("result %d is request %d, batch order says %d", k, r.ID, order[k])
 				}
-				if !equalInts(f.tokens, m.tokens) || f.steps != m.steps {
-					t.Fatalf("request %d: fused %v/%d vs masked %v/%d", id, f.tokens, f.steps, m.tokens, m.steps)
+				if !equalInts(r.Output, w.Output) || r.Steps != w.Steps {
+					t.Fatalf("request %d: loop %v/%d vs re-run %v/%d", r.ID, r.Output, r.Steps, w.Output, w.Steps)
 				}
+				if r.Steps == 0 {
+					zero++
+				}
+				steps[r.Steps] = true
+			}
+			if zero == 0 || len(steps) < 3 {
+				t.Fatalf("caps not staggered: %d zero-step requests, step counts %v", zero, steps)
 			}
 		})
 	}
+}
+
+// rerunOracle stages b and decodes each staged row with GenerateRowCapped,
+// keyed by request ID. Slotted decoder slots are rebuilt over the item
+// layout, which splits no declared prefix.
+func rerunOracle(t *testing.T, e *Engine, b *batch.Batch, tokens map[int64][]int) map[int64]Result {
+	t.Helper()
+	p, err := e.Prepare(b, tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	out := make(map[int64]Result)
+	for ri, row := range p.rows {
+		enc := e.Model.EncodeRow(p.rowTokens[ri], p.encLayouts[ri], p.slots[ri], p.mode, true)
+		var slots []model.Slot
+		if p.mode == model.AttSlotted {
+			ones := make([]int, len(row.Items))
+			for i := range ones {
+				ones[i] = 1
+			}
+			slots = e.slotsForRow(b, row, p.layouts[ri], ones)
+		}
+		gen := e.Model.GenerateRowCapped(enc, p.layouts[ri], slots, p.caps[ri], p.mode)
+		for i, it := range row.Items {
+			out[it.ID] = Result{ID: it.ID, Output: gen[i].Tokens, Steps: gen[i].Steps}
+		}
+	}
+	return out
 }
 
 func equalInts(a, b []int) bool {

@@ -1,22 +1,18 @@
-// Continuous batching: the engine-side refill loop. RunPreparedRefill
-// decodes a prepared batch step by step like the fused path, but treats the
-// launch as a persistent execution context: the moment a segment finishes it
-// is delivered through the hook, its KV state removed from the fused decode
-// state, and its share of the device reservation shrunk (§4.2.2's early
-// memory cleaning, generalized from the post-hoc simulation into the live
-// loop). Between steps the hook is consulted for queued requests that fit
-// the freed token capacity; admitted requests are encoded, inserted into the
-// running state, and decode alongside the survivors. With a hook that never
-// admits anything, the loop performs exactly the removals the fused path's
-// skip-finished gather performs implicitly, so outputs are bitwise identical
-// to RunPrepared.
+// Continuous batching: the engine's decode loop. Every launch decodes step
+// by step as a persistent execution context: the moment a segment finishes
+// it is delivered through the hook, its KV state removed from the fused
+// decode state, and its share of the device reservation shrunk (§4.2.2's
+// early memory cleaning, generalized from the post-hoc simulation into the
+// live loop). Between steps the hook is consulted for queued requests that
+// fit the freed token capacity; admitted requests are encoded, inserted into
+// the running state, and decode alongside the survivors. RunPrepared is the
+// same loop with a hook that never admits anything.
 package engine
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"tcb/internal/model"
 	"tcb/internal/tensor"
@@ -113,34 +109,27 @@ func (p *Prepared) growReservation(bytes int64) error {
 }
 
 // RunPreparedRefill executes a staged batch with mid-flight slot refill. A
-// nil hook degrades to RunPrepared; the refill loop itself requires the
-// fused cached decoder (the default engine configuration).
+// nil hook makes it RunPrepared. Refill needs a decoding engine: with a
+// hook and MaxNew == 0 it fails before touching the batch.
 func (e *Engine) RunPreparedRefill(p *Prepared, hook RefillHook) (*Report, error) {
-	if hook == nil {
-		return e.RunPrepared(p)
+	if hook != nil && e.MaxNew <= 0 {
+		return nil, fmt.Errorf("engine: refill requires MaxNew > 0")
 	}
-	if e.MaxNew <= 0 || !e.UseCache || !e.FuseDecode {
-		return nil, fmt.Errorf("engine: refill requires MaxNew > 0, UseCache and FuseDecode")
-	}
-	start := time.Now()
-	results, ref, err := e.runFusedRefill(p, hook)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Elapsed: time.Since(start), Results: results, Refill: ref}
-	if !p.DeferCleaning {
-		if err := p.FinishReport(rep); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return e.launch(p, hook)
 }
 
-// liveSeg is the engine-side bookkeeping for one flat segment of a
-// refill-enabled launch; the slice of these stays index-aligned with the
+// noHook is the hook of a plain launch: it admits nothing.
+type noHook struct{}
+
+func (noHook) Retire(Result)           {}
+func (noHook) Refill(int) []Admission  { return nil }
+func (noHook) Reject(Admission, error) {}
+
+// liveSeg is the engine-side bookkeeping for one flat segment of a launch; the slice of these stays index-aligned with the
 // BatchDecodeState's flat segment order across removals and insertions.
 type liveSeg struct {
 	id     int64
+	pos    int // index in batch row/item order; -1 for admissions
 	cap    int // generation cap (MaxNew clamped by OutputCap)
 	inLen  int // input tokens: the capacity it occupies and frees
 	steps  int // decode steps this segment has taken
@@ -148,19 +137,38 @@ type liveSeg struct {
 	output []int
 }
 
-// runFusedRefill is runFused with the greedy decode loop opened up for
-// per-step retirement and admission.
-func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *RefillReport, error) {
-	ref := &RefillReport{}
-	if len(p.rows) == 0 {
-		return nil, ref, nil
+// runLoop encodes every staged row, then decodes all rows' segments
+// together through one BatchDecodeState — one GEMM per layer per step across
+// the batch — retiring finished segments and admitting the hook's offers
+// between steps, tallying the launch into ref. Staged items' results are in
+// batch row/item order, admissions' follow in retire order. A nil hook
+// admits nothing. With MaxNew == 0 the launch only encodes (and freezes
+// declared prefixes).
+func (e *Engine) runLoop(p *Prepared, hook RefillHook, ref *RefillReport) ([]Result, error) {
+	if hook == nil {
+		hook = noHook{}
 	}
+	if len(p.rows) == 0 {
+		return nil, nil
+	}
+	// encodeRows uses a fresh workspace per row goroutine: prepare-stage
+	// staging never aliases compute-stage buffers, so a pipelined prepare
+	// for batch t+1 cannot stomp batch t's encode.
 	decRows := e.encodeRows(p)
 	// Freeze declared prefixes as soon as the encode lands — refill launches
 	// run long, so making the prefix available early lets admissions from the
 	// same family hit the cache mid-flight.
 	for ri := range p.rows {
 		e.freezeRowPrefixes(p, ri, decRows[ri].EncOut)
+	}
+	results := make([]Result, 0, p.Batch.NumItems())
+	if e.MaxNew <= 0 {
+		for _, row := range p.rows {
+			for _, it := range row.Items {
+				results = append(results, Result{ID: it.ID})
+			}
+		}
+		return results, nil
 	}
 	st := e.Model.NewBatchDecodeStateReserve(decRows, e.MaxNew)
 	defer st.Close()
@@ -170,14 +178,14 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	for ri, row := range p.rows {
 		for i, it := range row.Items {
 			segs = append(segs, &liveSeg{
-				id: it.ID, cap: p.caps[ri][i], inLen: it.Len, next: vocab.BosID,
+				id: it.ID, pos: len(segs), cap: p.caps[ri][i], inLen: it.Len, next: vocab.BosID,
 			})
 			liveTokens += int64(it.Len)
 		}
 	}
+	results = results[:len(segs)]
 	capacityTokens := int64(p.Batch.TotalTokens())
 
-	var results []Result
 	freeTokens, freeSlots := 0, 0
 	next := make([]int, 0, len(segs))
 	var finishedIdx []int
@@ -196,7 +204,11 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 		freeSlots++
 		p.shrinkReservation(int64(sg.inLen) * e.BytesPerToken)
 		res := Result{ID: sg.id, Output: sg.output, Steps: sg.steps}
-		results = append(results, res)
+		if sg.pos >= 0 {
+			results[sg.pos] = res
+		} else {
+			results = append(results, res)
+		}
 		hook.Retire(res)
 		if len(segs) > 0 {
 			ref.RetiredEarly++
@@ -204,8 +216,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 	}
 
 	for len(segs) > 0 {
-		// Zero-cap segments (OutputCap can floor at 0) retire without a step,
-		// matching the fused path's up-front MarkFinished.
+		// Zero-cap segments (OutputCap can floor at 0) retire without a step.
 		for i := len(segs) - 1; i >= 0; i-- {
 			if segs[i].cap <= 0 {
 				retire(i)
@@ -218,7 +229,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 			}
 			logits, err := st.Step(next)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			step++
 			ref.Steps = step
@@ -256,7 +267,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 		// when every segment just finished: the launch stays alive as long
 		// as the queue keeps feeding it.
 		if freeTokens > 0 {
-			seated := make([]Admission, 0, 4)
+			var seated []Admission
 			for _, adm := range hook.Refill(freeTokens) {
 				if adm.Resident() <= 0 || adm.Resident() > freeTokens {
 					hook.Reject(adm, fmt.Errorf("engine: admission of %d tokens for %d free", adm.Resident(), freeTokens))
@@ -311,7 +322,7 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 					cap = 0
 				}
 				segs = append(segs, &liveSeg{
-					id: adm.ID, cap: cap, inLen: adm.Resident(), next: vocab.BosID,
+					id: adm.ID, pos: -1, cap: cap, inLen: adm.Resident(), next: vocab.BosID,
 				})
 				liveTokens += int64(adm.Resident())
 				if freeSlots > 0 {
@@ -324,11 +335,11 @@ func (e *Engine) runFusedRefill(p *Prepared, hook RefillHook) ([]Result, *Refill
 			ref.SlotIdleSteps += int64(freeSlots)
 		}
 	}
-	return results, ref, nil
+	return results, nil
 }
 
-// encodeRows encodes every staged row in parallel — identical to the fused
-// path's encode fan-out. Encoding uses the encoder-side layout (which splits
+// encodeRows encodes every staged row in parallel — the batch dimension of
+// a real GPU launch. Encoding uses the encoder-side layout (which splits
 // declared prefixes into their own attention segments); the decode-side
 // layout and any inherited prefixes ride along on the BatchDecodeRow.
 func (e *Engine) encodeRows(p *Prepared) []model.BatchDecodeRow {

@@ -34,7 +34,6 @@ func (h *scriptHook) Reject(adm Admission, err error) { h.rejected = append(h.re
 
 func refillEngine(t testing.TB, maxNew int) *Engine {
 	e := testEngine(t, maxNew)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	return e
 }
@@ -242,22 +241,26 @@ func (h *defiantHook) Refill(int) []Admission {
 
 func (h *defiantHook) Reject(adm Admission, err error) { h.rejected = append(h.rejected, adm) }
 
-// The refill loop requires the fused cached decoder; misconfiguration is an
-// error, and a nil hook degrades to the plain prepared path.
-func TestRefillRequiresFusedCache(t *testing.T) {
+// Refill needs a decoding engine: a hook on an encode-only (MaxNew == 0)
+// engine is an error, while a nil hook is a plain launch.
+func TestRefillRequiresDecoding(t *testing.T) {
 	src := rng.New(74)
 	tokens, items := makeRequests(src, 3)
 	b, _ := batch.PackConcat(items, 1, 5)
-	e := testEngine(t, 3) // UseCache false
+	e := testEngine(t, 0)
 	p, err := e.Prepare(b, tokens)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release()
 	if _, err := e.RunPreparedRefill(p, &scriptHook{}); err == nil {
-		t.Fatal("refill without UseCache must fail")
+		t.Fatal("refill on an encode-only engine must fail")
 	}
-	if _, err := e.RunPreparedRefill(p, nil); err != nil {
-		t.Fatalf("nil hook must degrade to RunPrepared: %v", err)
+	rep, err := e.RunPreparedRefill(p, nil)
+	if err != nil {
+		t.Fatalf("nil hook must be a plain launch: %v", err)
+	}
+	if rep.Refill != nil || len(rep.Results) != 1 || rep.Results[0].Steps != 0 {
+		t.Fatalf("nil-hook encode-only launch = %+v", rep)
 	}
 }

@@ -11,15 +11,13 @@ import (
 )
 
 // servingEngine is the serving geometry (vocabulary 256, d_model 64, two
-// encoder and two decoder layers, weights seed 42) with the cached decoder
-// and outputs capped at the input length.
+// encoder and two decoder layers, weights seed 42) with outputs capped at the input length.
 func servingEngine(maxNew int) *Engine {
 	cfg := model.Config{
 		VocabSize: 256, DModel: 64, NumHeads: 4, DFF: 128,
 		EncLayers: 2, DecLayers: 2, MaxLen: 512, Eps: 1e-5,
 	}
 	e := New(model.New(cfg, 42), maxNew)
-	e.UseCache = true
 	e.OutputCap = func(n int) int { return min(n, maxNew) }
 	return e
 }

@@ -139,17 +139,14 @@ func (f *fixedSlotDAS) Schedule(now float64, pending []*sched.Request, B, L int)
 // batch sizes, it decodes a slotted batch and reports the byte-step
 // integral under whole-batch cleaning vs early slot cleaning, plus the
 // decode-step overlap window the freed slots open for the next batch.
-// Decoding runs through the cached serving path (fused unless the caller's
-// escape hatch disables it); the figure only depends on finish steps, which
-// are identical across decode paths.
+// Decoding runs through the engine's serving decode loop; the figure only
+// depends on finish steps.
 func AblationEarlyCleaning(opt Options) (*Figure, error) {
 	cfg := model.Config{
 		VocabSize: 64, DModel: 32, NumHeads: 4, DFF: 64,
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	eng := engine.New(model.New(cfg, 11), 12)
-	eng.UseCache = true
-	eng.FuseDecode = !opt.DisableFusedDecode
 	// Seq2seq output tracks input length, so requests of different lengths
 	// finish at different decoder steps — the §4.2.2 premise.
 	eng.OutputCap = func(inputLen int) int { return inputLen }

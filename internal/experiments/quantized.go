@@ -165,9 +165,7 @@ func tokenAgreement(mFloat, mQuant *model.Model, cfg model.Config, seed uint64) 
 		maxNew = 12
 	)
 	engF := engine.New(mFloat, maxNew)
-	engF.UseCache = true
 	engQ := engine.New(mQuant, maxNew)
-	engQ.UseCache = true
 	engQ.Quantize = true
 	src := rng.New(seed + 2)
 	n := rows * (rowLen / reqLen)

@@ -93,7 +93,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 
 		runMode := func(refill, pipeline bool) (tput, p99ms float64, outs [][]int, st serve.Stats, err error) {
 			eng := engine.New(m, maxNew)
-			eng.UseCache = true
 			eng.Quantize = opt.Quantize
 			eng.OutputCap = func(inputLen int) int { return inputLen }
 			s, err := serve.New(serve.Config{
@@ -153,20 +152,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 			return float64(n) / wall, lat.Percentile(99) * 1e3, outs, st, nil
 		}
 
-		if opt.DisableRefill {
-			baseTput, baseP99, _, _, err := runMode(false, false)
-			if err != nil {
-				return nil, fmt.Errorf("ext-refill: no-refill B=%d: %w", B, err)
-			}
-			fig.X = append(fig.X, float64(B))
-			fig.AddPoint("no-refill", baseTput)
-			fig.AddPoint("p99-no-refill-ms", baseP99)
-			fig.AddPoint("refill", baseTput)
-			fig.AddPoint("p99-refill-ms", baseP99)
-			fig.AddPoint("speedup", 1)
-			continue
-		}
-
 		// Outputs are deterministic per mode, but wall time on a shared core
 		// is not, and interference arrives in bursts longer than one run. So
 		// measure in back-to-back (no-refill, refill) pairs — a burst that
@@ -216,9 +201,6 @@ func ExtRefill(opt Options) (*Figure, error) {
 		fig.Notes = append(fig.Notes, fmt.Sprintf(
 			"B=%d refill: %d admitted mid-flight, %d retired early, occupancy %.0f%%, slot-idle steps %d",
 			B, st.RefillsAdmitted, st.SegmentsRetiredEarly, st.BatchOccupancyPct, st.SlotIdleSteps))
-	}
-	if opt.DisableRefill {
-		fig.Notes = append(fig.Notes, "refill disabled (-refill=false); refill series mirrors no-refill")
 	}
 	fig.Notes = append(fig.Notes,
 		"Poisson arrivals, heavy-tailed lengths (85% short / 15% long), OutputCap = input length;",

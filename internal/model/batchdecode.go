@@ -95,8 +95,8 @@ type batchLayerCache struct {
 
 // NewBatchDecodeState precomputes every row's cross-attention caches,
 // reserves per-step buffers and KV caches for the model's MaxLen bound, and
-// returns a state ready for Step. Callers that know their generation cap
-// should prefer GenerateBatchCached, which reserves only what the caps need.
+// returns a state ready for Step. Callers that know their generation bound
+// should prefer NewBatchDecodeStateReserve, which reserves only that.
 func (m *Model) NewBatchDecodeState(rows []BatchDecodeRow) *BatchDecodeState {
 	return m.newBatchDecodeState(rows, m.P.PosEnc.Rows)
 }
@@ -334,45 +334,7 @@ func (s *BatchDecodeState) Step(tokens []int) ([][]float32, error) {
 	return s.out, nil
 }
 
-// GenerateBatchCached greedily decodes every row of a batch through one
-// fused BatchDecodeState: per decode step, all rows' live segments advance
-// together through batch-wide GEMMs. caps[r][i] bounds generation for row
-// r's segment i. Results mirror the input shape and are token-identical to
-// running GenerateRowCached on each row independently.
-func (m *Model) GenerateBatchCached(rows []BatchDecodeRow, caps [][]int) ([][]GenerateResult, error) {
-	if len(caps) != len(rows) {
-		return nil, fmt.Errorf("model: %d cap rows for %d batch rows", len(caps), len(rows))
-	}
-	flatCaps := make([]int, 0, len(rows))
-	maxNew := 0
-	for r, row := range rows {
-		if len(caps[r]) != len(row.Layout.Segments) {
-			return nil, fmt.Errorf("model: row %d has %d caps for %d segments",
-				r, len(caps[r]), len(row.Layout.Segments))
-		}
-		for _, c := range caps[r] {
-			flatCaps = append(flatCaps, c)
-			if c > maxNew {
-				maxNew = c
-			}
-		}
-	}
-	st := m.newBatchDecodeState(rows, maxNew)
-	defer st.Close()
-	flat, err := greedyDecode(st, flatCaps, maxNew)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]GenerateResult, len(rows))
-	for r := range rows {
-		lo, hi := st.RowSpan(r)
-		out[r] = flat[lo:hi:hi]
-	}
-	return out, nil
-}
-
-// greedyDecode runs the shared greedy decoding loop over a (batch or
-// single-row) decode state: one token per unfinished segment per step,
+// greedyDecode runs the greedy decoding loop over a decode state: one token per unfinished segment per step,
 // argmax selection, EOS or the per-segment cap stopping each segment.
 func greedyDecode(st *BatchDecodeState, caps []int, maxNew int) ([]GenerateResult, error) {
 	nSeg := st.Segments()

@@ -27,11 +27,37 @@ func encodeRows(m *Model, groups [][][]int, padTo int, cap int) ([]BatchDecodeRo
 	return rows, caps
 }
 
+// decodeBatch greedily decodes every row through one fused BatchDecodeState
+// (the engine's decode loop, minus retirement and admission) and returns the
+// results shaped like the rows.
+func decodeBatch(m *Model, rows []BatchDecodeRow, caps [][]int) ([][]GenerateResult, error) {
+	var flat []int
+	maxNew := 0
+	for _, c := range caps {
+		flat = append(flat, c...)
+		for _, n := range c {
+			maxNew = max(maxNew, n)
+		}
+	}
+	st := m.NewBatchDecodeStateReserve(rows, maxNew)
+	defer st.Close()
+	res, err := greedyDecode(st, flat, maxNew)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]GenerateResult, len(rows))
+	for r := range rows {
+		lo, hi := st.RowSpan(r)
+		out[r] = res[lo:hi:hi]
+	}
+	return out, nil
+}
+
 // The tentpole correctness claim: fused batch-wide decoding is
 // token-identical to per-row cached decoding, which is token-identical to
 // mask-based decoding — for single-segment (naive) rows, multi-segment
 // concat rows, and mixed batches.
-func TestGenerateBatchCachedMatchesPerRow(t *testing.T) {
+func TestBatchDecodeMatchesPerRow(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(42)
 	cases := []struct {
@@ -57,7 +83,7 @@ func TestGenerateBatchCachedMatchesPerRow(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rows, caps := encodeRows(m, tc.groups, 24, cap)
-			fused, err := m.GenerateBatchCached(rows, caps)
+			fused, err := decodeBatch(m, rows, caps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +107,7 @@ func TestGenerateBatchCachedMatchesPerRow(t *testing.T) {
 // Slotted-encoded rows must decode identically through the fused and
 // per-row cached paths too (the decoder is scheme-agnostic; only the encoder
 // output differs).
-func TestGenerateBatchCachedSlottedRows(t *testing.T) {
+func TestBatchDecodeSlottedRows(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(43)
 	groups := [][][]int{
@@ -99,7 +125,7 @@ func TestGenerateBatchCachedSlottedRows(t *testing.T) {
 		}
 		caps[r] = []int{cap, cap}
 	}
-	fused, err := m.GenerateBatchCached(rows, caps)
+	fused, err := decodeBatch(m, rows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +142,7 @@ func TestGenerateBatchCachedSlottedRows(t *testing.T) {
 
 // Asymmetric caps, zero caps and empty rows must all round-trip through the
 // fused decoder with per-segment stopping intact.
-func TestGenerateBatchCachedCapsAndEdges(t *testing.T) {
+func TestBatchDecodeCapsAndEdges(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(44)
 	groups := [][][]int{
@@ -125,7 +151,7 @@ func TestGenerateBatchCachedCapsAndEdges(t *testing.T) {
 	}
 	rows, _ := encodeRows(m, groups, 16, 0)
 	caps := [][]int{{3, 0}, {8}}
-	fused, err := m.GenerateBatchCached(rows, caps)
+	fused, err := decodeBatch(m, rows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +171,9 @@ func TestGenerateBatchCachedCapsAndEdges(t *testing.T) {
 		}
 	}
 
-	// Shape validation.
-	if _, err := m.GenerateBatchCached(rows, [][]int{{1}}); err == nil {
-		t.Fatal("mismatched cap rows must fail")
-	}
-	if _, err := m.GenerateBatchCached(rows, [][]int{{1}, {1}}); err == nil {
-		t.Fatal("mismatched cap count within a row must fail")
+	// One cap per flat segment.
+	if _, err := decodeBatch(m, rows, [][]int{{1}, {1}}); err == nil {
+		t.Fatal("a cap count short of the segment count must fail")
 	}
 }
 

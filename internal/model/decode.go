@@ -59,9 +59,9 @@ func (s *DecodeState) Step(tokens []int) ([][]float32, error) {
 
 // GenerateRowCached mirrors GenerateRowCapped using the KV-cached
 // incremental decoder: same greedy decoding, same outputs, O(T) token
-// passes per segment instead of O(T²). It is the per-row counterpart of
-// GenerateBatchCached (one decode state per row instead of one fused state
-// per batch), kept as the engine's -fusedecode=false escape hatch.
+// passes per segment instead of O(T²). It is the model-level greedy
+// reference the beam, sampling and quantization tests compare against; the
+// engine drives the same BatchDecodeState across every row of a launch.
 func (m *Model) GenerateRowCached(encOut *tensor.Matrix, encLayout RowLayout, caps []int) ([]GenerateResult, error) {
 	nSeg := len(encLayout.Segments)
 	if len(caps) != nSeg {

@@ -37,7 +37,7 @@ func TestQuantizedFusedMatchesPerRowTokens(t *testing.T) {
 		{randTokens(src, 8), randTokens(src, 6)},
 	}
 	rows, caps := encodeRows(m, groups, 24, 12)
-	fused, err := m.GenerateBatchCached(rows, caps)
+	fused, err := decodeBatch(m, rows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}

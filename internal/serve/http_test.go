@@ -194,10 +194,14 @@ func TestHTTPHealthzUnserviceable(t *testing.T) {
 }
 
 // failingRunner fails every batch.
-type failingRunner struct{}
+type failingRunner struct{ stager }
 
-func (failingRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (failingRunner) RunPrepared(*engine.Prepared) (*engine.Report, error) {
 	return nil, errors.New("down")
+}
+
+func (f failingRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return f.RunPrepared(p)
 }
 
 // flakyRunner fails the first n batch launches, then delegates.
@@ -206,12 +210,20 @@ type flakyRunner struct {
 	fails int
 }
 
-func (f *flakyRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+func (f *flakyRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return f.real.Prepare(b, tokens)
+}
+
+func (f *flakyRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
 	if f.fails > 0 {
 		f.fails--
 		return nil, errors.New("injected device failure")
 	}
-	return f.real.Run(b, tokens)
+	return f.real.RunPrepared(p)
+}
+
+func (f *flakyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return f.RunPrepared(p)
 }
 
 func TestEngineFailureInjection(t *testing.T) {
@@ -335,8 +347,16 @@ func TestHTTPBreakerOpen503(t *testing.T) {
 // lossyRunner drops one request's result from the report.
 type lossyRunner struct{ real Runner }
 
-func (l *lossyRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	rep, err := l.real.Run(b, tokens)
+func (l *lossyRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return l.real.Prepare(b, tokens)
+}
+
+func (l *lossyRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return l.RunPrepared(p)
+}
+
+func (l *lossyRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
+	rep, err := l.real.RunPrepared(p)
 	if err != nil || len(rep.Results) == 0 {
 		return rep, err
 	}

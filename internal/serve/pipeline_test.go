@@ -2,6 +2,8 @@ package serve
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,13 +204,13 @@ func TestPipelineStageOverruns(t *testing.T) {
 // releases it); later invocations pass through. It models the hung launch
 // the supervision watchdog abandons.
 type hangRunner struct {
-	inner   PreparedRunner
+	inner   Runner
 	calls   atomic.Int64
 	release chan struct{}
 }
 
-func (h *hangRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return h.inner.Run(b, tokens)
+func (h *hangRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return h.RunPrepared(p)
 }
 
 func (h *hangRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
@@ -265,4 +267,54 @@ func TestReleaseBeforeRequeue(t *testing.T) {
 		t.Fatalf("timeouts = %d, want 1", got)
 	}
 	s.Drain()
+}
+
+// A result the engine loses fails only its own request, pipelined or not:
+// the pipeline's deferred memory-cleaning report, which has no finish step
+// for the lost item, must not turn one lost result into a failed batch.
+// Which request is lost depends on the batch's item order, so the modes are
+// compared by outcome: one lost, three delivered with identical outputs.
+func TestPipelinedLostResultMatchesSerial(t *testing.T) {
+	outcomes := func(pipelined bool) []Response {
+		s, _ := pipelineServer(t, func(c *Config) {
+			c.Pipeline = pipelined
+			c.Engine = NewChaosRunner(c.Engine, ChaosConfig{LoseRate: 1, Seed: 3})
+			c.Retry = RetryPolicy{MaxAttempts: 1}
+		})
+		src := rng.New(91)
+		var chans []<-chan Response
+		for i := 0; i < 4; i++ {
+			ch, err := s.Submit(randTokens(src, 3+i), 30*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans = append(chans, ch)
+		}
+		s.Start()
+		defer s.Stop()
+		out := make([]Response, len(chans))
+		for i, ch := range chans {
+			out[i] = <-ch
+		}
+		return out
+	}
+	serial, pipelined := outcomes(false), outcomes(true)
+	for mode, resps := range map[string][]Response{"serial": serial, "pipelined": pipelined} {
+		lost := 0
+		for i, r := range resps {
+			switch {
+			case r.Err == nil:
+				if other := serial[i]; mode == "pipelined" && other.Err == nil && !slices.Equal(r.Output, other.Output) {
+					t.Fatalf("request %d: pipelined %v, serial %v", i+1, r.Output, other.Output)
+				}
+			case strings.Contains(r.Err.Error(), "lost by engine"):
+				lost++
+			default:
+				t.Fatalf("%s: request %d failed with %v, want delivered or lost", mode, i+1, r.Err)
+			}
+		}
+		if lost != 1 {
+			t.Fatalf("%s: %d of 4 requests lost, want 1", mode, lost)
+		}
+	}
 }

@@ -22,7 +22,6 @@ func refillServer(t *testing.T, refill bool, b int, extra Config) (*Server, *eng
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	e := engine.New(model.New(cfg, 5), 8)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	c := extra
 	c.Scheduler = sched.NewDAS()
@@ -159,7 +158,6 @@ func TestRefillChaosDeliversExactlyOnce(t *testing.T) {
 		EncLayers: 1, DecLayers: 1, MaxLen: 256, Eps: 1e-5,
 	}
 	e := engine.New(model.New(cfg, 5), 8)
-	e.UseCache = true
 	e.OutputCap = func(inputLen int) int { return inputLen }
 	wrapped := NewChaosRunner(e, ChaosConfig{
 		ErrRate: 0.2, PanicRate: 0.05, LoseRate: 0.1, Seed: 9,

@@ -32,31 +32,17 @@ import (
 	"tcb/internal/tensor"
 )
 
-// Runner abstracts the inference engine so tests can inject failures and
-// deployments can substitute backends. *engine.Engine implements it.
+// Runner is the inference engine as the server drives it. Prepare stages a
+// batch (validation, memory reservation, host-side tensors); RunPrepared
+// executes it; RunPreparedRefill executes it as a persistent context that
+// delivers finished requests through the hook the moment they retire and
+// admits queued requests into the freed capacity between decode steps.
+// Splitting staging from execution lets the pipeline overlap a batch's
+// staging and cleanup with its neighbours' compute. *engine.Engine
+// implements it; ChaosRunner wraps it with fault injection.
 type Runner interface {
-	Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error)
-}
-
-// PreparedRunner is a Runner with a prepared-batch handoff: Prepare stages
-// a batch (validation, memory reservation, host-side tensor staging) and
-// RunPrepared executes it, so the server can overlap staging and cleanup
-// with a neighbouring batch's compute. *engine.Engine implements it; a
-// Prepare that returns (nil, nil) tells the server to fall back to Run for
-// that batch (wrappers around a plain Runner do this).
-type PreparedRunner interface {
-	Runner
 	Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error)
 	RunPrepared(p *engine.Prepared) (*engine.Report, error)
-}
-
-// RefillRunner is a PreparedRunner whose launches are persistent execution
-// contexts: RunPreparedRefill delivers finished requests through the hook
-// the moment they retire and admits queued requests into the freed capacity
-// between decode steps. *engine.Engine implements it; ChaosRunner forwards
-// it with the usual fault schedule.
-type RefillRunner interface {
-	PreparedRunner
 	RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook) (*engine.Report, error)
 }
 
@@ -133,8 +119,7 @@ type Config struct {
 	// batch t and stage C delivers, requeues and memory-cleans batch t−1.
 	// Outputs are identical to the serial loop (concat isolation: each
 	// request's output depends only on its own tokens); only overlap
-	// changes. Requires an Engine implementing PreparedRunner for full
-	// overlap; plain Runners still work, stage A just stops at layout.
+	// changes.
 	Pipeline bool
 	// ReserveCores is how many logical cores the pipeline withholds from
 	// the tensor kernel worker plan (tensor.Reserve) so its non-compute
@@ -153,10 +138,9 @@ type Config struct {
 	// memory-cleaned the moment they retire, and queued requests whose
 	// lengths fit the freed token capacity are admitted into the running
 	// batch between decode steps (utility-ordered, backoff- and
-	// deadline-respecting, like the scheduler's own admission). Requires an
-	// Engine implementing RefillRunner; otherwise batches run the plain
-	// path unchanged. Works in both the serial loop and the pipeline.
-	// Half-open breaker probes never refill — a probe must stay minimal.
+	// deadline-respecting, like the scheduler's own admission). Works in
+	// both the serial loop and the pipeline. Half-open breaker probes never
+	// refill — a probe must stay minimal.
 	Refill bool
 	// PredictAdmission, when non-nil, predicts the extra wall-clock budget
 	// one refill admission of the given input length adds to the running
@@ -204,7 +188,6 @@ type Config struct {
 	// engine (engine.Engine.PrefixCache) — the server pins and accounts, the
 	// engine reads and inserts. The server owns the cache's lifecycle: it is
 	// cleared when the serving loop exits so device accounting balances.
-	// Requires an engine with the KV-cached decoder (engine.Config.UseCache).
 	// Nil disables prefix sharing; submissions may still declare PrefixLen
 	// (they encode split but nothing is frozen or reused).
 	PrefixCache *prefixcache.Cache
@@ -253,8 +236,8 @@ type Stats struct {
 	SegmentsRetiredEarly int64
 	SlotIdleSteps        int64
 	BatchOccupancyPct    float64
-	// Refilling reports whether continuous batching is active (Config.Refill
-	// set and the engine supports the refill path).
+	// Refilling reports whether continuous batching is active
+	// (Config.Refill).
 	Refilling bool
 
 	// Kernels snapshots the process-wide GEMM dispatch counters: which
@@ -347,16 +330,9 @@ type pending struct {
 
 // Server is a running TCB serving instance.
 type Server struct {
-	cfg     Config
-	runner  *SupervisedRunner
-	breaker *Breaker
-	// preparer is cfg.Engine's prepared-batch handoff, when it has one;
-	// nil servers run every batch through the plain Run path.
-	preparer PreparedRunner
-	// refiller is cfg.Engine's refill path, set only when Config.Refill is
-	// on and the engine supports it; nil keeps every launch on the plain
-	// prepared path.
-	refiller RefillRunner
+	cfg      Config
+	runner   *SupervisedRunner
+	breaker  *Breaker
 	mu       sync.Mutex
 	queue    map[int64]*pending
 	next     int64
@@ -412,8 +388,8 @@ type launch struct {
 	selected []*pending
 	tokens   map[int64][]int
 	b        *batch.Batch
-	ep       *engine.Prepared // non-nil on the prepared handoff path
-	hook     *refillHook      // non-nil on refill-enabled launches
+	ep       *engine.Prepared
+	hook     *refillHook // non-nil on refill-enabled launches
 }
 
 // New validates cfg and returns an unstarted server.
@@ -509,10 +485,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.runner = &SupervisedRunner{Inner: cfg.Engine, Timeout: timeout, Breaker: s.breaker}
-	s.preparer, _ = cfg.Engine.(PreparedRunner)
-	if cfg.Refill {
-		s.refiller, _ = cfg.Engine.(RefillRunner)
-	}
 	return s, nil
 }
 
@@ -768,7 +740,7 @@ func (s *Server) Stats() Stats {
 		SegmentsRetiredEarly: s.segsRetiredEarly.Load(),
 		SlotIdleSteps:        s.slotIdleSteps.Load(),
 		BatchOccupancyPct:    occupancy,
-		Refilling:            s.refiller != nil,
+		Refilling:            s.cfg.Refill,
 		Kernels:              tensor.KernelCounters(),
 		FairEnabled:          s.wfq != nil,
 	}
@@ -984,37 +956,32 @@ func (s *Server) selectBatch() *launch {
 	} else {
 		l.b = s.layout(dec, selected)
 	}
-	if s.preparer != nil {
-		ep, err := s.preparer.Prepare(l.b, l.tokens)
-		if err != nil {
-			// Staging or memory admission failed before the engine ran:
-			// park the selection for a Poll without charging an attempt
-			// (mirrors the ErrBreakerOpen race path). An expired deadline
-			// still retires it on a later sweep.
-			now = s.clock()
-			s.mu.Lock()
-			for _, p := range l.selected {
-				p.notBefore = now + s.cfg.Poll.Seconds()
-				s.queue[p.req.ID] = p
-			}
-			s.inFlight--
-			s.mu.Unlock()
-			s.notify()
-			return nil
+	ep, err := s.cfg.Engine.Prepare(l.b, l.tokens)
+	if err != nil {
+		// Staging or memory admission failed before the engine ran: park
+		// the selection for a Poll without charging an attempt (mirrors the
+		// ErrBreakerOpen race path). An expired deadline still retires it on
+		// a later sweep.
+		now = s.clock()
+		s.mu.Lock()
+		for _, p := range l.selected {
+			p.notBefore = now + s.cfg.Poll.Seconds()
+			s.queue[p.req.ID] = p
 		}
-		// ep may be nil (a wrapper around a plain Runner): fall back to Run.
-		l.ep = ep
-		if l.ep != nil && s.cfg.Pipeline {
-			// Move the cleaning report into stage C, overlapped with the
-			// next batch's compute.
-			l.ep.DeferCleaning = true
-		}
-		if l.ep != nil && s.refiller != nil && state != BreakerHalfOpen {
-			// The launch becomes a persistent execution context: the hook
-			// delivers retires immediately and feeds queued requests into
-			// freed slots. Probes stay minimal — no hook for them.
-			l.hook = newRefillHook(s, l.selected)
-		}
+		s.inFlight--
+		s.mu.Unlock()
+		s.notify()
+		return nil
+	}
+	l.ep = ep
+	// Under the pipeline the cleaning report moves into stage C, overlapped
+	// with the next batch's compute.
+	l.ep.DeferCleaning = s.cfg.Pipeline
+	if s.cfg.Refill && state != BreakerHalfOpen {
+		// The launch becomes a persistent execution context: the hook
+		// delivers retires immediately and feeds queued requests into freed
+		// slots. Probes stay minimal — no hook for them.
+		l.hook = newRefillHook(s, l.selected)
 	}
 	return l
 }
@@ -1023,13 +990,10 @@ func (s *Server) selectBatch() *launch {
 func (s *Server) executeBatch(l *launch) (*engine.Report, error) {
 	var rep *engine.Report
 	var err error
-	switch {
-	case l.hook != nil:
+	if l.hook != nil {
 		rep, err = s.runner.RunPreparedRefill(l.ep, l.hook, s.admissionBudget)
-	case l.ep != nil:
+	} else {
 		rep, err = s.runner.RunPrepared(l.ep)
-	default:
-		rep, err = s.runner.Run(l.b, l.tokens)
 	}
 	s.mu.Lock()
 	s.batches++
@@ -1039,7 +1003,8 @@ func (s *Server) executeBatch(l *launch) (*engine.Report, error) {
 
 // completeBatch is stage C: deliver results, requeue retries and losses,
 // finish the deferred memory-cleaning report and release the batch's
-// reservation.
+// reservation. The report is observability only and never decides delivery:
+// after a lost result it has no finish step for that item and stays empty.
 func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served time.Time) {
 	// Close the refill hook FIRST: from here on a watchdog-abandoned engine
 	// goroutine that is still stepping can no longer deliver, admit from the
@@ -1058,9 +1023,6 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 			selected = append(selected, admitted...)
 		}
 	}
-	if err == nil && l.ep != nil && l.ep.DeferCleaning && rep != nil {
-		err = l.ep.FinishReport(rep)
-	}
 	if err != nil {
 		// Release the reservation BEFORE requeueing: the watchdog abandons
 		// a hung run without freeing anything, so a retried batch would
@@ -1073,19 +1035,15 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 		s.notify()
 		return
 	}
-	if rep != nil && rep.Refill != nil {
+	if rep.Refill != nil {
 		s.refillsAdmitted.Add(int64(rep.Refill.Admitted))
 		s.segsRetiredEarly.Add(int64(rep.Refill.RetiredEarly))
 		s.slotIdleSteps.Add(rep.Refill.SlotIdleSteps)
 		s.liveTokenSteps.Add(rep.Refill.LiveTokenSteps)
 		s.capTokenSteps.Add(rep.Refill.CapacityTokenSteps)
 	}
-	var results []engine.Result
-	if rep != nil {
-		results = rep.Results
-	}
-	byID := make(map[int64]engine.Result, len(results))
-	for _, r := range results {
+	byID := make(map[int64]engine.Result, len(rep.Results))
+	for _, r := range rep.Results {
 		byID[r.ID] = r
 	}
 	now := s.clock()
@@ -1113,6 +1071,9 @@ func (s *Server) completeBatch(l *launch, rep *engine.Report, err error, served 
 	s.mu.Unlock()
 	l.ep.Release()
 	s.notify()
+	if l.ep.DeferCleaning {
+		_ = l.ep.FinishReport(rep)
+	}
 }
 
 // undelivered filters a selection down to the requests an early retire did

@@ -306,7 +306,7 @@ func TestDrainConcurrentSharesDeadline(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	s, err := New(Config{
-		Engine:           blockingRunner{block},
+		Engine:           blockingRunner{block: block},
 		Scheduler:        sched.FCFS{},
 		Scheme:           batch.Concat,
 		B:                1,
@@ -352,13 +352,20 @@ func TestDrainConcurrentSharesDeadline(t *testing.T) {
 	}
 }
 
-// blockingRunner wedges every Run until its channel closes — the minimal
+// blockingRunner wedges every launch until its channel closes — the minimal
 // stand-in for an engine stuck in a kernel.
-type blockingRunner struct{ block chan struct{} }
+type blockingRunner struct {
+	stager
+	block chan struct{}
+}
 
-func (b blockingRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (b blockingRunner) RunPrepared(*engine.Prepared) (*engine.Report, error) {
 	<-b.block
 	return nil, ErrChaos
+}
+
+func (b blockingRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return b.RunPrepared(p)
 }
 
 func TestStatsCounters(t *testing.T) {

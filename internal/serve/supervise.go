@@ -176,63 +176,46 @@ type SupervisedRunner struct {
 	Breaker *Breaker
 }
 
-// Run executes the inner runner under supervision. A panic in the engine
-// becomes a *PanicError; a batch exceeding its budget fails with
+// RunPrepared executes a staged batch under supervision. A panic in the
+// engine becomes a *PanicError; a batch exceeding its budget fails with
 // ErrBatchTimeout (the runaway engine goroutine is abandoned and its late
 // result discarded); an open breaker refuses the run with ErrBreakerOpen
-// without touching the engine or recording an outcome.
-func (s *SupervisedRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
-	return s.supervise(b, func() (*engine.Report, error) { return s.Inner.Run(b, tokens) })
-}
-
-// RunPrepared executes a staged batch under the identical supervision
-// envelope (panic capture, watchdog, breaker). An inner runner without
-// prepared-handoff support degrades to the plain Run path. Note a
+// without touching the engine or recording an outcome. A
 // watchdog-abandoned run keeps computing in its goroutine — it never frees
 // the batch's memory reservation, which is why the serve loop releases the
 // Prepared before requeueing (see completeBatch).
 func (s *SupervisedRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
-	inner, ok := s.Inner.(PreparedRunner)
-	if !ok {
-		return s.Run(p.Batch, p.Tokens)
-	}
-	return s.supervise(p.Batch, func() (*engine.Report, error) { return inner.RunPrepared(p) })
+	return s.supervise(p.Batch, s.watchdog(p.Batch), func() (*engine.Report, error) {
+		return s.Inner.RunPrepared(p)
+	})
 }
 
-// RunPreparedRefill executes a refill-enabled launch under supervision. The
-// watchdog budget is extendable: every admission the hook accepts adds
-// extend(adm) to the deadline, so the budget tracks the batch's composition
-// as it changes instead of killing a healthy launch for serving more work
-// than it was born with. An inner runner without the refill path degrades
-// to RunPrepared — the hook stays silent and the serve loop's completion
-// path delivers everything, exactly the no-refill behaviour.
+// RunPreparedRefill executes a refill-enabled launch under the same
+// supervision. The watchdog budget is extendable: every admission the hook
+// accepts adds extend(adm) to the deadline, so the budget tracks the batch's
+// composition as it changes instead of killing a healthy launch for serving
+// more work than it was born with.
 func (s *SupervisedRunner) RunPreparedRefill(p *engine.Prepared, hook engine.RefillHook,
 	extend func(engine.Admission) time.Duration) (*engine.Report, error) {
-	inner, ok := s.Inner.(RefillRunner)
-	if !ok {
-		return s.RunPrepared(p)
+	dl := s.watchdog(p.Batch)
+	if dl != nil && extend != nil {
+		hook = &extendingHook{RefillHook: hook, extend: extend, dl: dl}
 	}
-	if s.Breaker != nil && !s.Breaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	var budget time.Duration
-	if s.Timeout != nil {
-		budget = s.Timeout(p.Batch)
-	}
-	if budget <= 0 {
-		// No watchdog: plain panic capture plus breaker accounting.
-		return s.superviseStarted(p.Batch, nil, func() (*engine.Report, error) {
-			return inner.RunPreparedRefill(p, hook)
-		})
-	}
-	dl := &deadline{at: time.Now().Add(budget)}
-	wrapped := hook
-	if extend != nil {
-		wrapped = &extendingHook{RefillHook: hook, extend: extend, dl: dl}
-	}
-	return s.superviseStarted(p.Batch, dl, func() (*engine.Report, error) {
-		return inner.RunPreparedRefill(p, wrapped)
+	return s.supervise(p.Batch, dl, func() (*engine.Report, error) {
+		return s.Inner.RunPreparedRefill(p, hook)
 	})
+}
+
+// watchdog starts b's deadline; nil when the batch has no budget.
+func (s *SupervisedRunner) watchdog(b *batch.Batch) *deadline {
+	if s.Timeout == nil {
+		return nil
+	}
+	budget := s.Timeout(b)
+	if budget <= 0 {
+		return nil
+	}
+	return &deadline{at: time.Now().Add(budget)}
 }
 
 // deadline is a mutex-guarded watchdog deadline the extendingHook pushes
@@ -273,12 +256,13 @@ func (h *extendingHook) Refill(free int) []engine.Admission {
 	return adms
 }
 
-// superviseStarted runs one engine invocation under panic capture, breaker
-// accounting and an optional extendable deadline (nil disables the
-// watchdog). The run goroutine is abandoned, never killed, on timeout —
-// identical semantics to supervise, with a movable deadline instead of a
-// fixed timer.
-func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run func() (*engine.Report, error)) (*engine.Report, error) {
+// supervise runs one engine invocation under breaker gating, panic
+// capture and an optional movable deadline (nil disables the watchdog). The
+// run goroutine is abandoned, never killed, on timeout.
+func (s *SupervisedRunner) supervise(b *batch.Batch, dl *deadline, run func() (*engine.Report, error)) (*engine.Report, error) {
+	if s.Breaker != nil && !s.Breaker.Allow() {
+		return nil, ErrBreakerOpen
+	}
 	type outcome struct {
 		rep *engine.Report
 		err error
@@ -302,7 +286,7 @@ func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run fu
 		wait := time.Until(dl.get())
 		if wait <= 0 {
 			s.record(false)
-			return nil, fmt.Errorf("%w: %d items exceeded extendable budget", ErrBatchTimeout, b.NumItems())
+			return nil, fmt.Errorf("%w: %d items exceeded their budget", ErrBatchTimeout, b.NumItems())
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -313,46 +297,6 @@ func (s *SupervisedRunner) superviseStarted(b *batch.Batch, dl *deadline, run fu
 		case <-t.C:
 			// The deadline may have moved while we slept; loop re-checks.
 		}
-	}
-}
-
-// supervise runs one engine invocation under panic capture, the per-batch
-// watchdog and breaker accounting — the shared core of Run and RunPrepared.
-func (s *SupervisedRunner) supervise(b *batch.Batch, run func() (*engine.Report, error)) (*engine.Report, error) {
-	if s.Breaker != nil && !s.Breaker.Allow() {
-		return nil, ErrBreakerOpen
-	}
-	type outcome struct {
-		rep *engine.Report
-		err error
-	}
-	ch := make(chan outcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, &PanicError{Value: r, Stack: debug.Stack()}}
-			}
-		}()
-		rep, err := run()
-		ch <- outcome{rep, err}
-	}()
-
-	var watchdog <-chan time.Time
-	var budget time.Duration
-	if s.Timeout != nil {
-		if budget = s.Timeout(b); budget > 0 {
-			t := time.NewTimer(budget)
-			defer t.Stop()
-			watchdog = t.C
-		}
-	}
-	select {
-	case o := <-ch:
-		s.record(o.err == nil)
-		return o.rep, o.err
-	case <-watchdog:
-		s.record(false)
-		return nil, fmt.Errorf("%w: %d items exceeded budget %v", ErrBatchTimeout, b.NumItems(), budget)
 	}
 }
 

@@ -12,9 +12,22 @@ import (
 	"tcb/internal/sched"
 )
 
+// stager stages through the model-free zero Engine: its Prepare validates
+// and lays out a batch without touching a model, so a test fake that fakes
+// only execution still stages for real.
+type stager struct{}
+
+func (stager) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	return new(engine.Engine).Prepare(b, tokens)
+}
+
+// staged wraps b for a direct call on a fake that reads only the batch.
+func staged(b *batch.Batch) *engine.Prepared { return &engine.Prepared{Batch: b} }
+
 // scriptRunner fails its first failN runs (optionally by panicking), then
 // delegates to real — or, with real nil, synthesizes a one-token output per
-// item. It records every batch it was launched with.
+// item. It records every batch it was launched with. Refill launches run
+// without their hook.
 type scriptRunner struct {
 	mu        sync.Mutex
 	failN     int
@@ -26,7 +39,19 @@ type scriptRunner struct {
 
 var errScripted = errors.New("scripted engine failure")
 
-func (r *scriptRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Report, error) {
+func (r *scriptRunner) Prepare(b *batch.Batch, tokens map[int64][]int) (*engine.Prepared, error) {
+	if r.real != nil {
+		return r.real.Prepare(b, tokens)
+	}
+	return stager{}.Prepare(b, tokens)
+}
+
+func (r *scriptRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return r.RunPrepared(p)
+}
+
+func (r *scriptRunner) RunPrepared(p *engine.Prepared) (*engine.Report, error) {
+	b := p.Batch
 	r.mu.Lock()
 	r.runs++
 	r.batches = append(r.batches, b)
@@ -42,7 +67,7 @@ func (r *scriptRunner) Run(b *batch.Batch, tokens map[int64][]int) (*engine.Repo
 		return nil, errScripted
 	}
 	if r.real != nil {
-		return r.real.Run(b, tokens)
+		return r.real.RunPrepared(p)
 	}
 	rep := &engine.Report{}
 	for _, it := range b.Items() {
@@ -118,7 +143,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 func TestSupervisedRunnerPanicCapture(t *testing.T) {
 	sr := &SupervisedRunner{Inner: &scriptRunner{failN: 1, panicMode: true}}
-	_, err := sr.Run(&batch.Batch{}, nil)
+	_, err := sr.RunPrepared(staged(&batch.Batch{}))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -130,12 +155,17 @@ func TestSupervisedRunnerPanicCapture(t *testing.T) {
 
 // slowRunner blocks until released (or forever with a nil channel).
 type slowRunner struct {
+	stager
 	release <-chan struct{}
 }
 
-func (r *slowRunner) Run(*batch.Batch, map[int64][]int) (*engine.Report, error) {
+func (r *slowRunner) RunPrepared(*engine.Prepared) (*engine.Report, error) {
 	<-r.release
 	return nil, errors.New("released")
+}
+
+func (r *slowRunner) RunPreparedRefill(p *engine.Prepared, _ engine.RefillHook) (*engine.Report, error) {
+	return r.RunPrepared(p)
 }
 
 func TestSupervisedRunnerTimeout(t *testing.T) {
@@ -148,7 +178,7 @@ func TestSupervisedRunnerTimeout(t *testing.T) {
 		Breaker: br,
 	}
 	start := time.Now()
-	_, err := sr.Run(&batch.Batch{}, nil)
+	_, err := sr.RunPrepared(staged(&batch.Batch{}))
 	if !errors.Is(err, ErrBatchTimeout) {
 		t.Fatalf("err = %v, want ErrBatchTimeout", err)
 	}
@@ -160,7 +190,7 @@ func TestSupervisedRunnerTimeout(t *testing.T) {
 		t.Fatalf("breaker state after timeout = %v, want open", st)
 	}
 	// And the open breaker refuses the next run without touching the inner.
-	if _, err := sr.Run(&batch.Batch{}, nil); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := sr.RunPrepared(staged(&batch.Batch{})); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
 }

@@ -156,8 +156,10 @@ func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
 // ServerStats is a point-in-time snapshot of server counters.
 type ServerStats = serve.Stats
 
-// EngineRunner abstracts the engine for the server (fault injection,
-// alternative backends).
+// EngineRunner is the engine surface the server drives: Prepare stages a
+// batch, RunPrepared executes it, RunPreparedRefill executes it with
+// mid-flight refill. *Engine implements it; wrap it for fault injection or
+// substitute an alternative backend.
 type EngineRunner = serve.Runner
 
 // NewHTTPHandler exposes a server over HTTP (POST /v1/infer,
